@@ -386,6 +386,7 @@ def _cmd_engines(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
+    from repro.errors import ValidationError
     from repro.parallel import MachineSpec
     from repro.perf import ScalingExperiment
 
@@ -399,22 +400,16 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
         print("error: --plist needs positive processor counts", file=sys.stderr)
         return 2
     spec = MachineSpec(alpha=args.alpha, beta=args.beta)
-    registry = default_registry()
-    scheduler = getattr(args, "scheduler", None)
-    if scheduler not in (None, "static") and \
-            args.engine not in registry.names(schedulable=True):
-        print(f"error: engine {args.engine!r} is not schedulable; "
-              f"--scheduler {scheduler} needs one of "
-              f"{','.join(registry.names(schedulable=True))}",
-              file=sys.stderr)
-        return 2
-    w, pricer, label = registry.get(args.engine).scaling(args, spec)
-    if scheduler is not None:
-        from repro.parallel.sched import make_scheduler
-
-        pricer.scheduler = make_scheduler(scheduler)
+    w, pricer, label = default_registry().get(args.engine).scaling(args, spec)
+    if args.scheduler:
+        # The runner resolves the name and rejects engines it cannot apply to.
+        pricer.scheduler = args.scheduler
     exp = ScalingExperiment(pricer, w.model, w.payoff, w.expiry, label=label)
-    print(exp.report(p_list))
+    try:
+        print(exp.report(p_list))
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.emit_trace:
         from repro.obs import Tracer
 

@@ -68,7 +68,7 @@ class ParallelMCGreeks:
         parallel pricers.
     scheduler : optional execute-stage scheduler (instance or strategy
         name); placement only — the Greeks are scheduler-invariant
-        bitwise. Default ``None``: the historical static path.
+        bitwise. Default ``None`` resolves to the static scheduler.
     """
 
     def __init__(
@@ -98,7 +98,7 @@ class ParallelMCGreeks:
         self.record = bool(record)
         self.tracer = tracer
         self.metrics = metrics
-        #: Execute-stage scheduler (None = static), as in ParallelMCPricer.
+        #: Execute-stage scheduler (None → static), as in ParallelMCPricer.
         self.scheduler = scheduler
 
     def _bumped_models(self, model: MultiAssetGBM):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from repro.core.result import ParallelRunResult
 from repro.core.work import WorkModel
-from repro.engine.mc import MCEngine, _partial_nbytes, _rank_task  # noqa: F401 — re-exported for backward compatibility (portfolio, pickled tasks)
+from repro.engine.mc import MCEngine
 from repro.engine.runner import run_engine
 from repro.errors import ValidationError
 from repro.market.gbm import MultiAssetGBM
@@ -84,7 +84,8 @@ class ParallelMCPricer:
         strategy name ("static" | "lpt" | "steal") deciding how rank
         tasks meet the backend's workers. Placement only — the estimate
         is scheduler-invariant bitwise (the ``scheduler`` determinism
-        check gates this). Default ``None``: the historical static path.
+        check gates this). Default ``None`` resolves to the static
+        scheduler (one chunked ``backend.map``).
     """
 
     def __init__(
@@ -131,8 +132,8 @@ class ParallelMCPricer:
         #: estimate is chunking-invariant (asserted in the backend tests).
         self.chunksize = chunksize
         self.metrics = metrics
-        #: Execute-stage scheduler (None = static). The runner resolves
-        #: names via repro.parallel.sched.resolve_scheduler.
+        #: Execute-stage scheduler; the runner resolves it (None → static)
+        #: via repro.parallel.sched.resolve_scheduler.
         self.scheduler = scheduler
 
     # ------------------------------------------------------------------

@@ -9,17 +9,18 @@ engine's stages:
 1. ``plan`` / ``partition`` (engine) — validation and work splitting;
 2. **cluster middleware** — one :class:`SimulatedCluster` per run, built
    with the config's machine spec, fault plan and tracer;
-3. **execution middleware** — mapped engines go through
+3. **execution middleware** — mapped engines dispatch through the
+   config's :class:`~repro.parallel.sched.Scheduler` (``pricer.scheduler
+   = "steal"``; unset resolves to the static scheduler, one chunked
+   ``backend.map``), wrapped in
    :func:`~repro.parallel.faults.resilient_map` when a non-empty fault
-   plan is configured (plain chunked ``backend.map`` otherwise); inline
-   engines run their loops and then pass through
-   :func:`~repro.parallel.faults.simulate_recovery`. A config-attached
-   :class:`~repro.parallel.sched.Scheduler` (``pricer.scheduler =
-   "steal"``) re-places mapped tasks across workers — LPT over the
-   engine's ``task_costs`` estimates, or work stealing — without moving a
-   price bit; scheduling stats land in engine metrics and the ledger
-   record's ``extra["sched"]``. Either way the wall clock is measured by
-   one shared :class:`~repro.perf.timer.Timer`;
+   plan is configured; inline engines run their loops and then pass
+   through :func:`~repro.parallel.faults.simulate_recovery`. LPT (over
+   the engine's ``task_costs`` estimates) and work stealing re-place
+   mapped tasks across workers without moving a price bit; their stats
+   land in engine metrics and the ledger record's ``extra["sched"]``.
+   Either way the wall clock is measured by one shared
+   :class:`~repro.perf.timer.Timer`;
 4. ``account`` / ``reduce`` (engine) — simulated cost charging and the
    reduction, which travels the modeled machine's schedule;
 5. **report middleware** — the runner assembles the
@@ -37,6 +38,11 @@ ledger or tracer is active the runner mints a ``run_id`` and threads it
 into :func:`~repro.parallel.faults.resilient_map`, so fault/retry trace
 instants, the :class:`~repro.parallel.faults.RunReport` and the ledger
 row all correlate.
+
+Single-contract runs (:func:`run_pipeline` / :func:`run_engine`) and
+fused strip runs (:func:`run_strip`) share one staged driver; the choice
+selects only the engine's stage methods, the ledger ``kind`` and the
+strip bookkeeping, so both record the same five stages.
 
 Because the middleware only *wraps* the engine's arithmetic (it never
 reorders it), a pricer ported onto the pipeline produces bitwise-identical
@@ -61,6 +67,7 @@ from typing import (
 
 from repro.engine.pipeline import (
     Estimate,
+    ExecutionPlan,
     PipelineContext,
     PipelineEngine,
     PricingJob,
@@ -99,9 +106,8 @@ def _profile_ctx(cfg: Any, label: str) -> ContextManager[Any]:
 class _StageTimer:
     """One wall-clock timer feeding the ledger's per-stage ``stages{}``.
 
-    ``with timer.stage("plan"): ...`` replaces the hand-rolled
-    ``t0..t3``/``perf_counter`` bookkeeping that ``run_pipeline`` and
-    ``run_strip`` used to duplicate; re-entering a name accumulates, so a
+    ``with timer.stage("plan"): ...`` replaces hand-rolled
+    ``perf_counter`` bookkeeping; re-entering a name accumulates, so a
     split stage still reports one number.
     """
 
@@ -119,20 +125,17 @@ class _StageTimer:
 
 
 def _scheduler_for(cfg: Any, engine: PipelineEngine,
-                   tasks: Optional[Sequence[RankTask]]) -> Optional[Scheduler]:
+                   tasks: Optional[Sequence[RankTask]]) -> Scheduler:
     """Resolve the config's execute-stage scheduler, gated by capability.
 
     ``cfg.scheduler`` follows the obs attachment idiom (plain attribute
-    assignment; absent means the historical static path, bitwise). A
-    non-static strategy requires a mapped engine that declares
-    ``schedulable`` — inline engines run their own loops and have nothing
-    to steal, and non-schedulable mapped engines have order-dependent
-    reassembly the scheduler must not touch.
+    assignment; absent resolves to the static scheduler). A non-static
+    strategy requires a mapped engine that declares ``schedulable`` —
+    inline engines run their own loops and have nothing to steal, and
+    non-schedulable mapped engines have order-dependent reassembly the
+    scheduler must not touch.
     """
-    value = getattr(cfg, "scheduler", None)
-    if value is None:
-        return None
-    scheduler = resolve_scheduler(value)
+    scheduler = resolve_scheduler(getattr(cfg, "scheduler", None))
     if scheduler.name == "static":
         return scheduler
     if tasks is None:
@@ -148,46 +151,12 @@ def _scheduler_for(cfg: Any, engine: PipelineEngine,
     return scheduler
 
 
-def _mapped_execute(
-    cfg: Any,
-    worker: Callable[[Any], Any],
-    payloads: List[Any],
-    *,
-    faults: Any,
-    policy: FaultPolicy,
-    run_id: Optional[str],
-    scheduler: Optional[Scheduler],
-    costs: Optional[Sequence[float]],
-) -> Tuple[list, Optional[Any], Optional[Any]]:
-    """The shared mapped-engine execute stage (pipeline and strip runs).
-
-    Returns ``(state, fault_report, sched_stats)``. With neither faults
-    nor a scheduler configured this is the historical fault-free fast
-    path — one ``backend.map``, one branch of overhead (benchmark F13).
-    """
-    backend = getattr(cfg, "backend", None)
-    if backend is None:
-        backend = SerialBackend()
-    chunksize = getattr(cfg, "chunksize", None)
-    inject = faults is not None and not faults.is_empty
-    if inject:
-        state, fault_report = resilient_map(
-            backend, worker, payloads,
-            plan=faults, policy=policy, chunksize=chunksize,
-            run_id=run_id, scheduler=scheduler, costs=costs,
-        )
-        return state, fault_report, fault_report.sched
-    if scheduler is None:
-        return backend.map(worker, payloads, chunksize=chunksize), None, None
-    state, sched_stats = scheduler.map(backend, worker, payloads,
-                                       costs=costs, chunksize=chunksize)
-    return state, None, sched_stats
-
-
 def _observe_sched(cfg: Any, engine: PipelineEngine, sched_stats: Any,
                    extra: Optional[dict]) -> Optional[dict]:
-    """Fold scheduling stats into engine metrics and the ledger extra."""
-    if sched_stats is None:
+    """Fold non-static scheduling stats into engine metrics and the
+    ledger extra."""
+    recorded = sched_stats.ledger_extra() if sched_stats is not None else None
+    if recorded is None:
         return extra
     metrics = getattr(cfg, "metrics", None)
     if metrics is not None:
@@ -196,30 +165,38 @@ def _observe_sched(cfg: Any, engine: PipelineEngine, sched_stats: Any,
         metrics.counter("sched.tasks_moved", engine=engine.name).inc(
             sched_stats.tasks_moved)
     merged = dict(extra) if extra else {}
-    merged["sched"] = sched_stats.ledger_extra()
+    merged["sched"] = recorded
     return merged
 
 
-def run_pipeline(
+def _run_staged(
     engine: PipelineEngine,
-    model: Any,
-    payoff: Any,
-    expiry: float,
-    p: int,
-) -> Tuple[ParallelRunResult, Estimate]:
-    """Drive one engine through the five stages; returns (result, estimate).
+    job: Any,
+    *,
+    strip: bool,
+) -> Tuple[List[ParallelRunResult], List[Estimate]]:
+    """The one staged driver behind :func:`run_pipeline` and :func:`run_strip`.
 
-    Most callers want :func:`run_engine`; adapters that need reduce-stage
-    extras (e.g. the greeks arrays) use this and read ``estimate.extras``.
+    ``strip`` selects only the engine's stage methods and worker
+    (``plan``/``execute``/``reduce`` or their ``_strip`` variants), the
+    ledger ``kind``, and the strip ``meta``/metric names; every
+    middleware concern runs the same code for both. Returns one result
+    and one estimate per contract (a single run has exactly one).
     """
     cfg = engine.config
     ledger = _ledger_for(cfg)
     timer = _StageTimer()
     stages = timer.stages
+    plan_stage: Callable[[Any], ExecutionPlan]
+    if strip:
+        plan_stage, execute_stage = engine.plan_strip, engine.execute_strip
+        worker, label = engine.strip_worker, f"{engine.name}.execute_strip"
+    else:
+        plan_stage, execute_stage = engine.plan, engine.execute
+        worker, label = engine.worker, f"{engine.name}.execute"
 
     with timer.stage("plan"):
-        plan = engine.plan(PricingJob(model=model, payoff=payoff,
-                                      expiry=expiry, p=p))
+        plan = plan_stage(job)
     with timer.stage("partition"):
         tasks = engine.partition(plan)
 
@@ -236,63 +213,108 @@ def run_pipeline(
 
     if tasks is not None:
         # Mapped engine: scheduler + fault + chunking middleware around
-        # the backend map.
+        # the backend map (one scheduler.map when no fault plan is set).
+        assert worker is not None, f"{engine.name} engine has no worker"
+        backend = getattr(cfg, "backend", None)
+        if backend is None:
+            backend = SerialBackend()
+        chunksize = getattr(cfg, "chunksize", None)
         payloads = [task.payload for task in tasks]
-        assert engine.worker is not None, f"{engine.name} engine has no worker"
-        costs = engine.task_costs(plan) if scheduler is not None else None
-        with ctx.timer, _profile_ctx(cfg, f"{engine.name}.execute"):
-            state, fault_report, sched_stats = _mapped_execute(
-                cfg, engine.worker, payloads, faults=faults, policy=policy,
-                run_id=run_id, scheduler=scheduler, costs=costs,
-            )
+        costs = engine.task_costs(plan)
+        with ctx.timer, _profile_ctx(cfg, label):
+            if faults is not None and not faults.is_empty:
+                state, fault_report = resilient_map(
+                    backend, worker, payloads, plan=faults, policy=policy,
+                    chunksize=chunksize, run_id=run_id, scheduler=scheduler,
+                    costs=costs,
+                )
+                sched_stats = fault_report.sched
+            else:
+                state, sched_stats = scheduler.map(
+                    backend, worker, payloads, costs=costs,
+                    chunksize=chunksize)
+                fault_report = None
         engine.account(plan, ctx, fault_report)
     else:
         # Inline engine: the arithmetic is the sequential reference, so
         # faults stretch the simulated timeline only (recovery is charged
         # after the compute loops, and rank loss raises).
-        with ctx.timer, _profile_ctx(cfg, f"{engine.name}.execute"):
-            state = engine.execute(plan, ctx)
+        with ctx.timer, _profile_ctx(cfg, label):
+            state = execute_stage(plan, ctx)
         fault_report = simulate_recovery(cluster, faults, policy,
                                          engine=engine.name)
     stages["execute"] = ctx.timer.elapsed
 
     with timer.stage("reduce"):
-        estimate = engine.reduce(plan, state, ctx, fault_report)
+        if strip:
+            estimates = list(engine.reduce_strip(plan, state, ctx,
+                                                 fault_report))
+        else:
+            estimates = [engine.reduce(plan, state, ctx, fault_report)]
     with timer.stage("report"):
         rep = cluster.report()
-        meta = engine.report(plan, estimate, ctx, fault_report)
-    if record:
-        meta["cluster"] = cluster
+        metas = [engine.report(plan, estimate, ctx, fault_report)
+                 for estimate in estimates]
 
-    result = ParallelRunResult(
-        price=estimate.price,
-        stderr=estimate.stderr,
-        p=plan.p,
-        sim_time=rep["elapsed"],
-        wall_time=ctx.timer.elapsed,
-        compute_time=rep["compute_time"],
-        comm_time=rep["comm_time"],
-        idle_time=rep["idle_time"],
-        messages=rep["messages"],
-        bytes_moved=rep["bytes_moved"],
-        engine=engine.name,
-        meta=meta,
-    )
+    results: List[ParallelRunResult] = []
+    for index, (estimate, meta) in enumerate(zip(estimates, metas)):
+        if strip:
+            meta["strip"] = {"contracts": len(estimates), "index": index}
+        if record:
+            meta["cluster"] = cluster
+        results.append(ParallelRunResult(
+            price=estimate.price,
+            stderr=estimate.stderr,
+            p=plan.p,
+            sim_time=rep["elapsed"],
+            wall_time=ctx.timer.elapsed,
+            compute_time=rep["compute_time"],
+            comm_time=rep["comm_time"],
+            idle_time=rep["idle_time"],
+            messages=rep["messages"],
+            bytes_moved=rep["bytes_moved"],
+            engine=engine.name,
+            meta=meta,
+        ))
 
     metrics = getattr(cfg, "metrics", None)
     if metrics is not None:
-        metrics.counter("engine.runs", engine=engine.name).inc()
+        if strip:
+            metrics.counter("engine.strip_runs", engine=engine.name).inc()
+            metrics.histogram("engine.strip_contracts",
+                              engine=engine.name).observe(float(len(results)))
+        else:
+            metrics.counter("engine.runs", engine=engine.name).inc()
         metrics.histogram("engine.wall_s", engine=engine.name).observe(
-            result.wall_time)
+            ctx.timer.elapsed)
         metrics.histogram("engine.sim_s", engine=engine.name).observe(
-            result.sim_time)
-    extra = _observe_sched(cfg, engine, sched_stats, None)
-    if ledger is not None:
+            rep["elapsed"])
+    extra = _observe_sched(cfg, engine, sched_stats,
+                           {"contracts": len(results)} if strip else None)
+    if ledger is not None and results:
         ledger.append(record_from_result(
-            result, run_id=run_id or new_run_id(), kind="engine",
+            results[0], run_id=run_id or new_run_id(),
+            kind="strip" if strip else "engine",
             config=cfg, stages=stages, fault_report=fault_report,
             extra=extra))
-    return result, estimate
+    return results, estimates
+
+
+def run_pipeline(
+    engine: PipelineEngine,
+    model: Any,
+    payoff: Any,
+    expiry: float,
+    p: int,
+) -> Tuple[ParallelRunResult, Estimate]:
+    """Drive one engine through the five stages; returns (result, estimate).
+
+    Most callers want :func:`run_engine`; adapters that need reduce-stage
+    extras (e.g. the greeks arrays) use this and read ``estimate.extras``.
+    """
+    job = PricingJob(model=model, payoff=payoff, expiry=expiry, p=p)
+    results, estimates = _run_staged(engine, job, strip=False)
+    return results[0], estimates[0]
 
 
 def run_engine(
@@ -316,15 +338,13 @@ def run_strip(
 ) -> List[ParallelRunResult]:
     """Price a homogeneous contract strip through one fused engine run.
 
-    The exact middleware order of :func:`run_pipeline` — one simulated
-    cluster, the fault-resilient map (or plain chunked ``backend.map``) for
-    mapped engines, :func:`simulate_recovery` for inline engines, one shared
-    wall-clock :class:`~repro.perf.timer.Timer` — wrapped around the
-    engine's *strip* stages (``plan_strip`` / ``execute_strip`` /
-    ``reduce_strip``). Because the middleware never reorders the engine's
-    arithmetic and the fused kernels share draws that are identical to each
-    single run's, every returned result is bitwise equal to the matching
-    :func:`run_engine` call (asserted by the strip-equivalence test tier).
+    The same staged driver as :func:`run_pipeline` — identical middleware,
+    all five stages timed — around the engine's *strip* stages
+    (``plan_strip`` / ``execute_strip`` / ``reduce_strip``). Because the
+    middleware never reorders the engine's arithmetic and the fused
+    kernels share draws that are identical to each single run's, every
+    returned result is bitwise equal to the matching :func:`run_engine`
+    call (asserted by the strip-equivalence test tier).
 
     Returns one :class:`~repro.engine.result.ParallelRunResult` per payoff,
     in strip order; timing/communication columns describe the *fused* run
@@ -335,85 +355,6 @@ def run_strip(
             f"engine {engine.name!r} is not batchable; see "
             f"EngineCapabilities.batchable"
         )
-    cfg = engine.config
-    ledger = _ledger_for(cfg)
-    timer = _StageTimer()
-    stages = timer.stages
-
-    with timer.stage("plan"):
-        job = StripJob.from_payoffs(model, payoffs, expiry, p)
-        plan = engine.plan_strip(job)
-    with timer.stage("partition"):
-        tasks = engine.partition(plan)
-
-    faults = getattr(cfg, "faults", None)
-    policy: FaultPolicy = getattr(cfg, "policy", None) or FaultPolicy.parse(None)
-    tracer = getattr(cfg, "tracer", None)
-    record = bool(getattr(cfg, "record", False))
-    run_id = new_run_id() if (ledger is not None or tracer is not None) else None
-    scheduler = _scheduler_for(cfg, engine, tasks)
-    cluster = SimulatedCluster(plan.p, cfg.spec, record=record,
-                               faults=faults, tracer=tracer)
-    ctx = PipelineContext(cluster=cluster, tracer=tracer, timer=Timer())
-    sched_stats: Optional[Any] = None
-
-    if tasks is not None:
-        payloads = [task.payload for task in tasks]
-        assert engine.strip_worker is not None, (
-            f"{engine.name} engine has no strip worker")
-        costs = engine.task_costs(plan) if scheduler is not None else None
-        with ctx.timer, _profile_ctx(cfg, f"{engine.name}.execute_strip"):
-            state, fault_report, sched_stats = _mapped_execute(
-                cfg, engine.strip_worker, payloads, faults=faults,
-                policy=policy, run_id=run_id, scheduler=scheduler,
-                costs=costs,
-            )
-        engine.account(plan, ctx, fault_report)
-    else:
-        with ctx.timer, _profile_ctx(cfg, f"{engine.name}.execute_strip"):
-            state = engine.execute_strip(plan, ctx)
-        fault_report = simulate_recovery(cluster, faults, policy,
-                                         engine=engine.name)
-    stages["execute"] = ctx.timer.elapsed
-
-    with timer.stage("reduce"):
-        estimates = engine.reduce_strip(plan, state, ctx, fault_report)
-    rep = cluster.report()
-    results: List[ParallelRunResult] = []
-    for index, estimate in enumerate(estimates):
-        meta = engine.report(plan, estimate, ctx, fault_report)
-        meta["strip"] = {"contracts": len(estimates), "index": index}
-        if record:
-            meta["cluster"] = cluster
-        results.append(ParallelRunResult(
-            price=estimate.price,
-            stderr=estimate.stderr,
-            p=plan.p,
-            sim_time=rep["elapsed"],
-            wall_time=ctx.timer.elapsed,
-            compute_time=rep["compute_time"],
-            comm_time=rep["comm_time"],
-            idle_time=rep["idle_time"],
-            messages=rep["messages"],
-            bytes_moved=rep["bytes_moved"],
-            engine=engine.name,
-            meta=meta,
-        ))
-
-    metrics = getattr(cfg, "metrics", None)
-    if metrics is not None:
-        metrics.counter("engine.strip_runs", engine=engine.name).inc()
-        metrics.histogram("engine.strip_contracts",
-                          engine=engine.name).observe(float(len(estimates)))
-        metrics.histogram("engine.wall_s", engine=engine.name).observe(
-            ctx.timer.elapsed)
-        metrics.histogram("engine.sim_s", engine=engine.name).observe(
-            rep["elapsed"])
-    extra = _observe_sched(cfg, engine, sched_stats,
-                           {"contracts": len(results)})
-    if ledger is not None and results:
-        ledger.append(record_from_result(
-            results[0], run_id=run_id or new_run_id(), kind="strip",
-            config=cfg, stages=stages, fault_report=fault_report,
-            extra=extra))
+    job = StripJob.from_payoffs(model, payoffs, expiry, p)
+    results, _ = _run_staged(engine, job, strip=True)
     return results

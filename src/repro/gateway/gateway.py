@@ -49,6 +49,8 @@ class ShardedGateway:
     bound, service hint, EWMA weight, headroom) plus the per-shard cache
     capacity. ``metrics``/``ledger`` flow into the shard services, so
     ``serve.*`` and ``gateway.*`` series land in one registry.
+    ``scheduler`` (a :class:`~repro.parallel.sched.Scheduler` or strategy
+    name; default static) is passed to every shard's service.
 
     Use as an async context manager::
 

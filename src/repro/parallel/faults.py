@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import FaultError, ValidationError
+from repro.parallel.sched import SchedStats, check_costs, resolve_scheduler
 from repro.utils.validation import check_non_negative, check_positive_int
 
 __all__ = [
@@ -317,11 +318,12 @@ class RunReport:
     canonical serialization — two replays of one (plan, policy) must stay
     byte-identical even though each replay gets a fresh id.
 
-    ``sched`` (a :class:`~repro.parallel.sched.SchedStats`, or ``None``
-    under the static path) records how the scheduler moved the surviving
-    attempts between workers. Excluded from the canonical serialization
-    for the same reason as ``run_id``: on real backends the steal schedule
-    is a wall-clock race, while the *results* stay bitwise.
+    ``sched`` (a :class:`~repro.parallel.sched.SchedStats` from
+    :func:`resilient_map`, ``None`` from :func:`plan_report`) records how
+    the scheduler moved the surviving attempts between workers. Excluded
+    from the canonical serialization for the same reason as ``run_id``:
+    on real backends the steal schedule is a wall-clock race, while the
+    *results* stay bitwise.
     """
 
     p: int
@@ -421,6 +423,34 @@ def _guarded_call(args):
         return ("fault", ("error", f"{type(exc).__name__}: {exc}"), dt)
 
 
+def _policy_verdict(policy: FaultPolicy, rank: int, attempt: int,
+                    kind: str, detail: str, lost: list[int], p: int) -> bool:
+    """The retry policy's one decision on failed ``attempt`` of ``rank``.
+
+    Returns ``True`` when the rank gets another attempt. Under ``degrade``
+    an exhausted rank is dropped (appended to ``lost``). Raises
+    :class:`FaultError` under ``fail_fast``, on an exhausted ``retry``
+    budget, and when dropping the rank leaves none of the ``p`` ranks.
+    Shared by :func:`resilient_map` and :func:`plan_report`, so the
+    executed and the predicted schedules cannot disagree.
+    """
+    if policy.mode == "fail_fast":
+        raise FaultError(
+            f"rank {rank} failed ({kind}: {detail}) under fail_fast policy"
+        )
+    if attempt < policy.max_retries:
+        return True
+    if policy.mode == "retry":
+        raise FaultError(
+            f"rank {rank} still failing ({kind}) after "
+            f"{attempt + 1} attempt(s); retry budget exhausted"
+        )
+    lost.append(rank)
+    if len(lost) == p:
+        raise FaultError(f"all {p} ranks lost; nothing left to degrade to")
+    return False
+
+
 def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
                   policy: FaultPolicy | str | None = None, tracer=None,
                   chunksize: int | str | None = None,
@@ -449,14 +479,16 @@ def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
     traces and the run ledger correlate by id. It never enters the
     report's canonical serialization.
 
-    ``scheduler`` (a :class:`~repro.parallel.sched.Scheduler`, strategy
-    name, or ``None`` for the historical static path) decides how each
-    round's attempt batch meets the workers. Injection stays keyed by
-    **task id** (``plan.fault_for(r, attempt)``), not by worker placement,
-    so a stolen task carries its fault with it and a steal-scheduled
-    recovered run still equals the fault-free run bitwise. ``costs``
+    ``scheduler`` (a :class:`~repro.parallel.sched.Scheduler` or strategy
+    name; default static — one chunked ``backend.map`` per round) decides
+    how each round's attempt batch meets the workers. Injection stays
+    keyed by **task id** (``plan.fault_for(r, attempt)``), not by worker
+    placement, so a stolen task carries its fault with it and a
+    steal-scheduled recovered run still equals the fault-free run
+    bitwise. ``costs``
     (optional per-task estimates, same indexing as ``tasks``) feeds the
     LPT strategy; each retry round passes the surviving subset through.
+    A ``costs`` list of the wrong length raises :class:`ValidationError`.
     The per-round scheduling stats are folded into ``report.sched``.
 
     Raises :class:`FaultError` under ``fail_fast`` on the first fault,
@@ -467,15 +499,9 @@ def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
     policy = FaultPolicy.parse(policy)
     if tracer is None:
         tracer = getattr(backend, "tracer", None)
-    if scheduler is not None and not isinstance(scheduler, str):
-        sched_obj = scheduler
-    elif scheduler is not None:
-        from repro.parallel.sched import resolve_scheduler
-
-        sched_obj = resolve_scheduler(scheduler)
-    else:
-        sched_obj = None
+    scheduler = resolve_scheduler(scheduler)
     n = len(tasks)
+    check_costs(n, costs)
     results: list = [None] * n
     attempts: list[RankAttempt] = []
     lost: list[int] = []
@@ -491,15 +517,12 @@ def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
             inject = fault.kind.value if fault is not None else None
             sleep_s = policy.straggler_sleep * max(plan.slowdown(r) - 1.0, 0.0)
             batch.append((worker, copy.deepcopy(tasks[r]), inject, sleep_s))
-        if sched_obj is None:
-            outcomes = backend.map(_guarded_call, batch, chunksize=chunksize)
-        else:
-            round_costs = ([costs[r] for r in pending]
-                           if costs is not None else None)
-            outcomes, stats = sched_obj.map(backend, _guarded_call, batch,
-                                            costs=round_costs,
-                                            chunksize=chunksize)
-            round_stats.append(stats)
+        round_costs = ([costs[r] for r in pending]
+                       if costs is not None else None)
+        outcomes, stats = scheduler.map(backend, _guarded_call, batch,
+                                        costs=round_costs,
+                                        chunksize=chunksize)
+        round_stats.append(stats)
 
         retry_ranks = []
         for r, out in zip(pending, outcomes):
@@ -521,42 +544,24 @@ def resilient_map(backend, worker, tasks, *, plan: FaultPlan | None = None,
                                         duration=dt))
             if tracer:
                 tracer.instant("fault", rank=r, kind=kind, attempt=k, **idargs)
-            if policy.mode == "fail_fast":
-                raise FaultError(
-                    f"rank {r} failed ({kind}: {detail}) under fail_fast policy"
-                )
-            if k >= policy.max_retries:
-                if policy.mode == "retry":
-                    raise FaultError(
-                        f"rank {r} still failing ({kind}) after "
-                        f"{k + 1} attempt(s); retry budget exhausted"
-                    )
-                lost.append(r)  # degrade: drop the rank
-                if tracer:
-                    tracer.instant("degrade", rank=r, attempts=k + 1, **idargs)
-            else:
+            if _policy_verdict(policy, r, k, kind, detail, lost, n):
                 attempt_no[r] = k + 1
                 retry_ranks.append(r)
                 if tracer:
                     tracer.instant("retry", rank=r, attempt=k + 1, **idargs)
+            elif tracer:
+                tracer.instant("degrade", rank=r, attempts=k + 1, **idargs)
 
         if retry_ranks and policy.backoff_base > 0.0:
             time.sleep(max(policy.backoff_for(attempt_no[r]) for r in retry_ranks))
         pending = retry_ranks
 
-    if len(lost) == n:
-        raise FaultError(f"all {n} ranks lost; nothing left to degrade to")
-    sched_stats = None
-    if round_stats:
-        from repro.parallel.sched import SchedStats
-
-        sched_stats = SchedStats.combine(round_stats)
     report = RunReport(
         p=n, mode=policy.mode,
         attempts=tuple(sorted(attempts, key=lambda a: (a.rank, a.attempt))),
         lost_ranks=tuple(sorted(lost)),
         run_id=run_id,
-        sched=sched_stats,
+        sched=SchedStats.combine(round_stats),
     )
     return results, report
 
@@ -588,19 +593,9 @@ def plan_report(plan: FaultPlan, policy: FaultPolicy, p: int) -> RunReport:
             kind = fault.kind.value
             attempts.append(RankAttempt(r, k, kind, _DETAILS[kind],
                                         backoff=policy.backoff_for(k)))
-            if policy.mode == "fail_fast":
-                raise FaultError(
-                    f"rank {r} failed ({kind}) under fail_fast policy"
-                )
-            if k == policy.max_retries:
-                if policy.mode == "retry":
-                    raise FaultError(
-                        f"rank {r} still failing ({kind}) after "
-                        f"{k + 1} attempt(s); retry budget exhausted"
-                    )
-                lost.append(r)
-    if len(lost) == p:
-        raise FaultError(f"all {p} ranks lost; nothing left to degrade to")
+            if not _policy_verdict(policy, r, k, kind, _DETAILS[kind],
+                                   lost, p):
+                break
     return RunReport(p=p, mode=policy.mode, attempts=tuple(attempts),
                      lost_ranks=tuple(lost))
 

@@ -6,10 +6,10 @@ round-based retries, the :class:`~repro.parallel.backends.ChunkAutotuner`,
 and the simulated cluster's static block partitions. A
 :class:`Scheduler` puts that decision in one place, with three strategies:
 
-* :class:`StaticChunkScheduler` — today's behaviour, bit-for-bit: one
-  chunked ``backend.map`` in task order. The default everywhere; a run
-  that never names a scheduler executes exactly the pre-scheduler code
-  path.
+* :class:`StaticChunkScheduler` — one chunked ``backend.map`` in task
+  order, bit-for-bit the pre-scheduler dispatch. The default everywhere:
+  :func:`resolve_scheduler` maps an unset (``None``) scheduler to it, and
+  every dispatch goes through a scheduler object.
 * :class:`LPTScheduler` — longest-processing-time list scheduling over
   per-task cost *estimates* (mapped engines supply per-rank path counts
   via ``engine.task_costs``). Tasks are dispatched one per message in
@@ -60,6 +60,7 @@ __all__ = [
     "LPTScheduler",
     "WorkStealingScheduler",
     "SCHEDULER_NAMES",
+    "check_costs",
     "make_scheduler",
     "resolve_scheduler",
     "VirtualSchedule",
@@ -117,8 +118,11 @@ class SchedStats:
             "events": [e.to_dict() for e in self.events],
         }
 
-    def ledger_extra(self) -> dict:
-        """The compact form the run ledger records (no per-event detail)."""
+    def ledger_extra(self) -> Optional[dict]:
+        """The compact form the run ledger records (no per-event detail);
+        ``None`` for the static strategy, which never moves a task."""
+        if self.strategy == "static":
+            return None
         return {"strategy": self.strategy, "steals": self.steals,
                 "tasks_moved": self.tasks_moved}
 
@@ -145,6 +149,13 @@ class SchedStats:
             initial_depths=head.initial_depths,
             events=tuple(e for p in parts for e in p.events),
         )
+
+
+def check_costs(n: int, costs: Optional[Sequence[float]]) -> None:
+    """Require one cost estimate per task (``None`` means no estimates)."""
+    if costs is not None and len(costs) != n:
+        raise ValidationError(
+            f"need one cost estimate per task ({n}), got {len(costs)}")
 
 
 def _workers_of(backend: Any) -> int:
@@ -212,11 +223,9 @@ class LPTScheduler(Scheduler):
 
     def order(self, n: int, costs: Optional[Sequence[float]]) -> list[int]:
         """Stable dispatch order: descending estimate, ties by index."""
+        check_costs(n, costs)
         if costs is None:
             return list(range(n))
-        if len(costs) != n:
-            raise ValidationError(
-                f"need one cost estimate per task ({n}), got {len(costs)}")
         return sorted(range(n), key=lambda i: (-float(costs[i]), i))
 
     def map(self, backend: Any, worker: Callable, tasks: Sequence, *,

@@ -48,6 +48,7 @@ from repro.obs.ledger import (
     new_run_id,
 )
 from repro.parallel.backends import ChunkAutotuner, ExecutionBackend, SerialBackend
+from repro.parallel.sched import resolve_scheduler
 from repro.serve.batching import Batch, Batcher, PricingRequest, request_key
 from repro.serve.cache import PriceCache
 
@@ -123,9 +124,10 @@ class PricingService:
     clock : injectable monotonic clock for deadline tests.
     scheduler : optional :class:`~repro.parallel.sched.Scheduler` or
         strategy name deciding how each batch's miss tasks meet the
-        backend's workers (``None`` = the historical chunked static map).
-        Placement only — quotes are bitwise scheduler-invariant; steal
-        tallies land in the batch's ``kind="serve"`` ledger record.
+        backend's workers (default: the static scheduler, one chunked
+        map). Placement only — quotes are bitwise scheduler-invariant;
+        non-static tallies land in the batch's ``kind="serve"`` ledger
+        record.
     """
 
     def __init__(self, backend: ExecutionBackend | None = None, *,
@@ -144,12 +146,7 @@ class PricingService:
         self.chunksize = chunksize
         self.batched = bool(batched)
         self.min_strip = min_strip
-        if scheduler is None:
-            self.scheduler = None
-        else:
-            from repro.parallel.sched import resolve_scheduler
-
-            self.scheduler = resolve_scheduler(scheduler)
+        self.scheduler = resolve_scheduler(scheduler)
         if cache is not None and metrics is not None and cache.metrics is None:
             cache.metrics = metrics
         if metrics is not None and getattr(self.backend, "metrics", None) is None:
@@ -165,16 +162,16 @@ class PricingService:
             "max_batch": max_batch, "max_wait_s": max_wait_s,
             "chunksize": chunksize, "batched": self.batched,
             "min_strip": min_strip,
-            "scheduler": getattr(self.scheduler, "name", None),
+            # The argument, not the resolved object: an unset scheduler
+            # digests as null, so ledgers stay comparable across versions.
+            "scheduler": getattr(scheduler, "name", scheduler),
         })
         #: Number of backend.map calls issued — zero for full-hit replays.
         self.map_calls = 0
 
     def _dispatch(self, worker, work, cs):
-        """One scheduled (or plain) map over the batch's miss tasks."""
+        """One scheduled map over the batch's miss tasks."""
         self.map_calls += 1
-        if self.scheduler is None:
-            return self.backend.map(worker, work, chunksize=cs), None
         return self.scheduler.map(self.backend, worker, work, chunksize=cs)
 
     # -- streaming interface -------------------------------------------
@@ -294,8 +291,10 @@ class PricingService:
             extra = {"requests": n, "misses": len(tasks),
                      "hits": n - sum(len(v) for v in miss_indices.values()),
                      "map_calls": 1 if tasks else 0}
-            if sched_stats is not None:
-                extra["sched"] = sched_stats.ledger_extra()
+            recorded = (sched_stats.ledger_extra()
+                        if sched_stats is not None else None)
+            if recorded is not None:
+                extra["sched"] = recorded
             ledger.append(RunRecord(
                 run_id=new_run_id(), kind="serve", engine="service",
                 config=self._config_digest, backend=self.backend.name,

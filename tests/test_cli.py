@@ -54,6 +54,19 @@ class TestScaling:
         assert main(["scaling", "--plist", "1,two,3"]) == 2
         assert main(["scaling", "--plist", "0,2"]) == 2
 
+    def test_scheduler_on_inline_engine_is_exit_code_2(self, capsys):
+        code = main(["scaling", "--engine", "lattice", "--plist", "1,2",
+                     "--steps", "16", "--scheduler", "steal"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "runs inline" in err and "'steal'" in err
+
+    def test_scheduler_on_mc_runs(self, capsys):
+        code = main(["scaling", "--engine", "mc", "--plist", "1,2",
+                     "--paths", "4000", "--scheduler", "lpt"])
+        assert code == 0
+        assert "speedup" in capsys.readouterr().out
+
     def test_machine_parameters_accepted(self, capsys):
         code = main(["scaling", "--plist", "1,2", "--paths", "10000",
                      "--alpha", "5e-6", "--beta", "1e-9"])

@@ -150,3 +150,82 @@ class TestLegacyAdapterRegression:
     @pytest.mark.parametrize("name", PARALLEL_ENGINES)
     def test_result_is_stamped_with_canonical_name(self, name):
         assert _run_legacy(name).engine == name
+
+
+def _series_keys(metrics):
+    snap = metrics.snapshot()
+    return sorted(key for group in snap.values() for key in group)
+
+
+class TestDefaultDispatchRecord:
+    """An unset scheduler dispatches through the static scheduler object
+    but records exactly what the pre-scheduler runner recorded."""
+
+    #: Config digests of the default configurations below; a change here
+    #: breaks ledger comparability with every committed baseline.
+    MC_DIGEST = "a07ed155d985"
+    LATTICE_DIGEST = "f51eea9e3671"
+    STAGES = {"plan", "partition", "execute", "reduce", "report"}
+
+    def _attach(self, cfg, tmp_path):
+        from repro.obs import MetricsRegistry, RunLedger
+
+        cfg.ledger = RunLedger(tmp_path / "runs.jsonl")
+        cfg.metrics = MetricsRegistry()
+        return cfg
+
+    def test_default_run_records_no_sched(self, tmp_path):
+        cfg = self._attach(ParallelMCPricer(4_000, seed=3), tmp_path)
+        w = scaling_workload(MC)
+        cfg.price(w.model, w.payoff, w.expiry, 4)
+        (rec,) = cfg.ledger.records()
+        assert rec.kind == "engine"
+        assert rec.config == self.MC_DIGEST
+        assert "sched" not in (rec.extra or {})
+        assert set(rec.stages) == self.STAGES
+        assert _series_keys(cfg.metrics) == [
+            "engine.runs{engine=mc}", "engine.sim_s{engine=mc}",
+            "engine.wall_s{engine=mc}"]
+
+    def test_default_faulted_run_records_no_sched(self, tmp_path):
+        from repro.parallel import FaultPlan
+
+        cfg = self._attach(ParallelMCPricer(
+            4_000, seed=3, faults=FaultPlan.single_crash(1)), tmp_path)
+        w = scaling_workload(MC)
+        res = cfg.price(w.model, w.payoff, w.expiry, 4)
+        (rec,) = cfg.ledger.records()
+        assert "sched" not in (rec.extra or {})
+        assert rec.faults["recovered"] == 1
+        assert res.meta["fault_report"].sched.strategy == "static"
+        assert not any(k.startswith("sched.")
+                       for k in _series_keys(cfg.metrics))
+
+    @pytest.mark.parametrize("name", [MC, LATTICE])
+    def test_strip_records_the_same_five_stages(self, name, tmp_path):
+        from repro.engine.runner import run_pipeline, run_strip
+        from repro.market.gbm import MultiAssetGBM
+        from repro.payoffs import Call
+
+        cfg, p = CONFIGS[name]()
+        cfg = self._attach(cfg, tmp_path)
+        model = MultiAssetGBM.equicorrelated(1, spot=100.0, vol=0.2,
+                                             rate=0.05, rho=0.0)
+        engine = default_registry().get(name).pipeline()(cfg)
+        run_pipeline(engine, model, Call(100.0), 1.0, p)
+        results = run_strip(engine, model, [Call(90.0), Call(100.0)], 1.0, p)
+        single, strip = cfg.ledger.records()
+        assert (single.kind, strip.kind) == ("engine", "strip")
+        assert set(single.stages) == set(strip.stages) == self.STAGES
+        assert strip.config == single.config == {
+            MC: self.MC_DIGEST, LATTICE: self.LATTICE_DIGEST}[name]
+        assert strip.extra["contracts"] == 2
+        assert "sched" not in strip.extra
+        assert [r.meta["strip"] for r in results] == [
+            {"contracts": 2, "index": 0}, {"contracts": 2, "index": 1}]
+        assert _series_keys(cfg.metrics) == sorted([
+            f"engine.runs{{engine={name}}}",
+            f"engine.strip_runs{{engine={name}}}",
+            f"engine.strip_contracts{{engine={name}}}",
+            f"engine.sim_s{{engine={name}}}",
+            f"engine.wall_s{{engine={name}}}"])

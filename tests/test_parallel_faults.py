@@ -314,6 +314,35 @@ class TestResilientMapUnit:
         with pytest.raises(FaultError):
             resilient_map(SerialBackend(), bomb, [0], policy="fail_fast")
 
+    def test_empty_task_list_returns_empty(self):
+        """No tasks means no rank can be lost: an empty map, p=0 report."""
+        results, report = resilient_map(SerialBackend(), abs, [],
+                                        plan=FaultPlan.single_crash(0))
+        assert results == []
+        assert report.p == 0
+        assert report.attempts == () and report.lost_ranks == ()
+
+    @pytest.mark.parametrize("scheduler", ["static", "lpt", "steal"])
+    @pytest.mark.parametrize("costs", [[1.0], [1.0, 2.0, 3.0]])
+    def test_costs_length_checked_up_front(self, scheduler, costs):
+        with pytest.raises(ValidationError,
+                           match=r"one cost estimate per task \(2\)"):
+            resilient_map(SerialBackend(), abs, [1, -2],
+                          scheduler=scheduler, costs=costs)
+
+    def test_every_lost_rank_drops_before_all_lost_raises(self):
+        """Under degrade the run aborts only once the last rank is gone."""
+        seen = []
+
+        def bomb(task):
+            seen.append(task)
+            raise RuntimeError("boom")
+
+        with pytest.raises(FaultError, match="all 3 ranks lost"):
+            resilient_map(SerialBackend(), bomb, [0, 1, 2],
+                          policy=FaultPolicy(mode="degrade", max_retries=0))
+        assert seen == [0, 1, 2]
+
 
 class TestDeterministicEngines:
     """Lattice/PDE/LSM: values bit-identical under faults, timeline not."""

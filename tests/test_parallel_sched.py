@@ -93,6 +93,7 @@ class TestStrategies:
         assert stats.strategy == "static"
         assert stats.steals == 0 and stats.tasks_moved == 0
         assert sum(stats.initial_depths) == len(tasks)
+        assert stats.ledger_extra() is None  # static moves nothing
 
     def test_lpt_order_is_stable_descending(self):
         sched = LPTScheduler()

@@ -202,6 +202,24 @@ class TestServeObservability:
         assert first.extra["map_calls"] == 1 and first.extra["misses"] == 3
         assert second.extra["map_calls"] == 0 and second.extra["hits"] == 3
 
+    def test_default_scheduler_records_no_sched(self, tmp_path):
+        """An unset scheduler dispatches through the static scheduler but
+        keeps the pre-scheduler config digest, ledger extra and series."""
+        from repro.obs import MetricsRegistry, RunLedger
+
+        ledger = RunLedger(tmp_path / "runs.jsonl")
+        metrics = MetricsRegistry()
+        with PricingService(max_batch=4, cache=None, ledger=ledger,
+                            metrics=metrics) as svc:
+            assert svc.scheduler.name == "static"
+            svc.price_many(_mc_requests(4))
+        (rec,) = ledger.records()
+        assert rec.config == "f0df353c0701"
+        assert "sched" not in rec.extra
+        assert not any(key.startswith("sched.")
+                       for group in metrics.snapshot().values()
+                       for key in group)
+
     def test_metrics_registry_wired_into_backend_task_latency(self):
         from repro.obs import MetricsRegistry
 
