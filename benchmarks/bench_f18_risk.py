@@ -70,13 +70,12 @@ def build_f18a_scaling(n_scenarios: int = 32, n_paths: int = 2_000):
     for n_shards in SHARD_LIST:
         result = run_risk_sweep(book, scenarios, n_shards=n_shards,
                                 n_paths=n_paths, seed=SEED, repeats=REPEATS)
-        record = risk_run_record(result, n_scenarios=n_scenarios,
-                                 n_contracts=N_CONTRACTS, engine="mc",
-                                 seed=SEED, repeats=REPEATS)
-        cells[n_shards] = record.extra
+        extra = risk_run_record(result, n_scenarios=n_scenarios,
+                                n_contracts=N_CONTRACTS, repeats=REPEATS)
+        cells[n_shards] = extra
         table.add_row([n_shards, result.offered, result.completed,
-                       result.shed_total, record.extra["scenarios_per_s"],
-                       record.extra["hit_rate"]])
+                       result.shed_total, extra["scenarios_per_s"],
+                       extra["hit_rate"]])
     return table, cells
 
 
@@ -89,7 +88,8 @@ def build_f18b_cache(n_contracts: int = 4, n_paths: int = 1_000):
     # Suspend the ambient ledger for the real revaluations: the per-batch
     # serve records and per-run engine records of a smoke-scale sweep
     # would pollute the (kind, engine, stage) groups the scaling baseline
-    # owns. Only the two kind="risk" sweep summaries are appended below.
+    # owns. Only the two kind="risk" sweep summaries reach it, through
+    # revalue_book's explicit ledger.
     ledger = active_ledger()
     set_active_ledger(None)
     try:
@@ -97,16 +97,10 @@ def build_f18b_cache(n_contracts: int = 4, n_paths: int = 1_000):
                             metrics=metrics) as service:
             reports = [revalue_book(book, sweep, n_paths=n_paths, seed=SEED,
                                     levels=(0.95,), service=service,
-                                    metrics=metrics)
+                                    metrics=metrics, ledger=ledger)
                        for _ in range(2)]
     finally:
         set_active_ledger(ledger)
-    if ledger is not None:
-        for label, rep in zip(("cold", "hot"), reports):
-            ledger.append(rep.to_record(
-                {"experiment": "f18b", "pass": label,
-                 "n_contracts": n_contracts, "n_paths": n_paths,
-                 "seed": SEED}))
     n_axes, n_bumped = len(SWEEP_AXES), len(sweep) - len(SWEEP_AXES)
     expected = {
         "cold hits": n_axes * n_contracts,

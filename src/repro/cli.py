@@ -851,20 +851,24 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         print(f"digests  : prices {result.price_stream_digest()}  "
               f"decisions {result.decision_log_digest()}")
     if args.book == "risk":
-        from repro.obs.ledger import active_ledger
-        from repro.risk.bridge import risk_run_record
+        from repro.obs.ledger import measured
+        from repro.risk.bridge import risk_run_record, risk_sweep_config
 
         n_base = min(args.contracts, 4)
         n_scen = (args.contracts + n_base - 1) // n_base
-        record = risk_run_record(result, n_scenarios=n_scen,
-                                 n_contracts=n_base, engine=cfg.engine,
-                                 seed=args.seed)
-        book_ledger = ledger if ledger is not None else active_ledger()
-        if book_ledger is not None:
-            book_ledger.append(record)
+        # The drive already ran: its time is the risk record's sweep.
+        with measured("risk", engine=cfg.engine,
+                      config=risk_sweep_config(n_scen, n_base, args.seed, 1,
+                                               args.shards),
+                      backend="sim", workers=args.shards, p=args.shards,
+                      ledger=ledger) as run:
+            run.stages["sweep"] = run.wall_s = result.wall_s
+            run.sim_s = result.sim_end
+            run.extra = extra = risk_run_record(
+                result, n_scenarios=n_scen, n_contracts=n_base)
         print(f"risk     : {n_scen} scenarios x {n_base} base contracts, "
-              f"{record.extra['scenarios_per_s']:.1f} scenarios/s, "
-              f"hit rate {record.extra['hit_rate']:.1%}")
+              f"{extra['scenarios_per_s']:.1f} scenarios/s, "
+              f"hit rate {extra['hit_rate']:.1%}")
     if ledger is not None:
         print(f"ledger   : {ledger.appended} record(s) -> {ledger.path}")
     return 0

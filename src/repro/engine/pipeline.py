@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
     from repro.parallel.faults import RunReport
     from repro.parallel.simcluster import SimulatedCluster
-    from repro.perf.timer import Timer
 
 __all__ = [
     "PricingJob",
@@ -140,7 +139,6 @@ class PipelineContext:
 
     cluster: "SimulatedCluster"
     tracer: Optional["Tracer"]
-    timer: "Timer"
 
 
 class PipelineEngine:

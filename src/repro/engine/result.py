@@ -24,8 +24,10 @@ class ParallelRunResult:
     p : rank count.
     sim_time : simulated parallel execution time T(P) in seconds — the
         quantity the paper's tables report.
-    wall_time : actual wall-clock seconds of this run (backend-dependent;
-        meaningless as a speedup measure on a single-core host).
+    wall_time : wall-clock seconds of the run's ``execute`` stage only —
+        the backend dispatch or inline compute, without plan, partition,
+        reduce and report (backend-dependent; meaningless as a speedup
+        measure on a single-core host).
     compute_time, comm_time, idle_time : simulated per-rank maxima, the
         overhead decomposition of ``sim_time``.
     messages, bytes_moved : simulated communication volume.

@@ -19,23 +19,25 @@ engine's stages:
    the engine's ``task_costs`` estimates) and work stealing re-place
    mapped tasks across workers without moving a price bit; their stats
    land in engine metrics and the ledger record's ``extra["sched"]``.
-   Either way the wall clock is measured by one shared
-   :class:`~repro.perf.timer.Timer`;
+   Either way the dispatch's wall time is the run's ``execute`` stage
+   and its ``wall_s``;
 4. ``account`` / ``reduce`` (engine) — simulated cost charging and the
    reduction, which travels the modeled machine's schedule;
 5. **report middleware** — the runner assembles the
    :class:`~repro.engine.result.ParallelRunResult` from the cluster
-   report, attaches the recorded cluster when asked, feeds the optional
-   :class:`~repro.obs.metrics.MetricsRegistry`, and appends one
-   :class:`~repro.obs.ledger.RunRecord` (per-stage wall timings, fault
-   tallies, ``run_id``) to the configured or ambient run ledger.
+   report, attaches the recorded cluster when asked and feeds the
+   optional :class:`~repro.obs.metrics.MetricsRegistry`. The whole run
+   sits inside :func:`~repro.obs.ledger.measured`, which times the stages
+   and appends one :class:`~repro.obs.ledger.RunRecord` (per-stage wall
+   timings, fault tallies, ``run_id``) to the configured or ambient run
+   ledger.
 
 Observability attachments follow one idiom — plain attribute assignment
 on the engine config: ``pricer.tracer = Tracer()``,
 ``pricer.ledger = RunLedger(path)``, ``pricer.profiler =
-SamplingProfiler()``. Each costs a single ``getattr`` when absent. When a
-ledger or tracer is active the runner mints a ``run_id`` and threads it
-into :func:`~repro.parallel.faults.resilient_map`, so fault/retry trace
+SamplingProfiler()``. Each costs a single ``getattr`` when absent. The
+run's ``run_id`` is threaded into
+:func:`~repro.parallel.faults.resilient_map`, so fault/retry trace
 instants, the :class:`~repro.parallel.faults.RunReport` and the ledger
 row all correlate.
 
@@ -52,13 +54,11 @@ determinism checks gate on.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import (
     Any,
     Callable,
     ContextManager,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -76,22 +76,13 @@ from repro.engine.pipeline import (
 )
 from repro.engine.result import ParallelRunResult
 from repro.errors import ValidationError
-from repro.obs.ledger import active_ledger, new_run_id, record_from_result
+from repro.obs.ledger import measured
 from repro.parallel.backends import SerialBackend
 from repro.parallel.faults import FaultPolicy, resilient_map, simulate_recovery
 from repro.parallel.sched import Scheduler, resolve_scheduler
 from repro.parallel.simcluster import SimulatedCluster
-from repro.perf.timer import Timer
 
 __all__ = ["run_pipeline", "run_engine", "run_strip"]
-
-
-def _ledger_for(cfg: Any) -> Any:
-    """The run ledger for a config: explicit attribute wins, else ambient."""
-    ledger = getattr(cfg, "ledger", None)
-    if ledger is None:
-        ledger = active_ledger()
-    return ledger
 
 
 def _profile_ctx(cfg: Any, label: str) -> ContextManager[Any]:
@@ -101,27 +92,6 @@ def _profile_ctx(cfg: Any, label: str) -> ContextManager[Any]:
         return nullcontext()
     ctx: ContextManager[Any] = profiler.profile(label)
     return ctx
-
-
-class _StageTimer:
-    """One wall-clock timer feeding the ledger's per-stage ``stages{}``.
-
-    ``with timer.stage("plan"): ...`` replaces hand-rolled
-    ``perf_counter`` bookkeeping; re-entering a name accumulates, so a
-    split stage still reports one number.
-    """
-
-    def __init__(self) -> None:
-        self.stages: dict[str, float] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            dt = time.perf_counter() - t0
-            self.stages[name] = self.stages.get(name, 0.0) + dt
 
 
 def _scheduler_for(cfg: Any, engine: PipelineEngine,
@@ -152,21 +122,19 @@ def _scheduler_for(cfg: Any, engine: PipelineEngine,
 
 
 def _observe_sched(cfg: Any, engine: PipelineEngine, sched_stats: Any,
-                   extra: Optional[dict]) -> Optional[dict]:
+                   extra: dict) -> None:
     """Fold non-static scheduling stats into engine metrics and the
     ledger extra."""
     recorded = sched_stats.ledger_extra() if sched_stats is not None else None
     if recorded is None:
-        return extra
+        return
     metrics = getattr(cfg, "metrics", None)
     if metrics is not None:
         metrics.counter("sched.steals", engine=engine.name).inc(
             sched_stats.steals)
         metrics.counter("sched.tasks_moved", engine=engine.name).inc(
             sched_stats.tasks_moved)
-    merged = dict(extra) if extra else {}
-    merged["sched"] = recorded
-    return merged
+    extra["sched"] = recorded
 
 
 def _run_staged(
@@ -184,9 +152,6 @@ def _run_staged(
     and one estimate per contract (a single run has exactly one).
     """
     cfg = engine.config
-    ledger = _ledger_for(cfg)
-    timer = _StageTimer()
-    stages = timer.stages
     plan_stage: Callable[[Any], ExecutionPlan]
     if strip:
         plan_stage, execute_stage = engine.plan_strip, engine.execute_strip
@@ -194,109 +159,118 @@ def _run_staged(
     else:
         plan_stage, execute_stage = engine.plan, engine.execute
         worker, label = engine.worker, f"{engine.name}.execute"
+    backend = getattr(cfg, "backend", None)
 
-    with timer.stage("plan"):
-        plan = plan_stage(job)
-    with timer.stage("partition"):
-        tasks = engine.partition(plan)
+    with measured("strip" if strip else "engine", engine=engine.name,
+                  config=cfg, backend=getattr(backend, "name", "none"),
+                  workers=int(getattr(backend, "max_workers", 1) or 1),
+                  p=job.p, ledger=getattr(cfg, "ledger", None)) as run:
+        with run.stage("plan"):
+            plan = plan_stage(job)
+        with run.stage("partition"):
+            tasks = engine.partition(plan)
+        run.p = plan.p
 
-    faults = getattr(cfg, "faults", None)
-    policy: FaultPolicy = getattr(cfg, "policy", None) or FaultPolicy.parse(None)
-    tracer = getattr(cfg, "tracer", None)
-    record = bool(getattr(cfg, "record", False))
-    run_id = new_run_id() if (ledger is not None or tracer is not None) else None
-    scheduler = _scheduler_for(cfg, engine, tasks)
-    cluster = SimulatedCluster(plan.p, cfg.spec, record=record,
-                               faults=faults, tracer=tracer)
-    ctx = PipelineContext(cluster=cluster, tracer=tracer, timer=Timer())
-    sched_stats: Optional[Any] = None
+        faults = getattr(cfg, "faults", None)
+        policy: FaultPolicy = (getattr(cfg, "policy", None)
+                               or FaultPolicy.parse(None))
+        tracer = getattr(cfg, "tracer", None)
+        record = bool(getattr(cfg, "record", False))
+        scheduler = _scheduler_for(cfg, engine, tasks)
+        cluster = SimulatedCluster(plan.p, cfg.spec, record=record,
+                                   faults=faults, tracer=tracer)
+        ctx = PipelineContext(cluster=cluster, tracer=tracer)
+        sched_stats: Optional[Any] = None
 
-    if tasks is not None:
-        # Mapped engine: scheduler + fault + chunking middleware around
-        # the backend map (one scheduler.map when no fault plan is set).
-        assert worker is not None, f"{engine.name} engine has no worker"
-        backend = getattr(cfg, "backend", None)
-        if backend is None:
-            backend = SerialBackend()
-        chunksize = getattr(cfg, "chunksize", None)
-        payloads = [task.payload for task in tasks]
-        costs = engine.task_costs(plan)
-        with ctx.timer, _profile_ctx(cfg, label):
-            if faults is not None and not faults.is_empty:
-                state, fault_report = resilient_map(
-                    backend, worker, payloads, plan=faults, policy=policy,
-                    chunksize=chunksize, run_id=run_id, scheduler=scheduler,
-                    costs=costs,
-                )
-                sched_stats = fault_report.sched
+        if tasks is not None:
+            # Mapped engine: scheduler + fault + chunking middleware around
+            # the backend map (one scheduler.map when no fault plan is set).
+            assert worker is not None, f"{engine.name} engine has no worker"
+            executor = backend if backend is not None else SerialBackend()
+            chunksize = getattr(cfg, "chunksize", None)
+            payloads = [task.payload for task in tasks]
+            costs = engine.task_costs(plan)
+            with run.stage("execute"), _profile_ctx(cfg, label):
+                if faults is not None and not faults.is_empty:
+                    state, fault_report = resilient_map(
+                        executor, worker, payloads,
+                        plan=faults, policy=policy, chunksize=chunksize,
+                        run_id=run.run_id, scheduler=scheduler, costs=costs,
+                    )
+                    sched_stats = fault_report.sched
+                else:
+                    state, sched_stats = scheduler.map(
+                        executor, worker, payloads,
+                        costs=costs, chunksize=chunksize)
+                    fault_report = None
+            engine.account(plan, ctx, fault_report)
+        else:
+            # Inline engine: the arithmetic is the sequential reference, so
+            # faults stretch the simulated timeline only (recovery is
+            # charged after the compute loops, and rank loss raises).
+            with run.stage("execute"), _profile_ctx(cfg, label):
+                state = execute_stage(plan, ctx)
+            fault_report = simulate_recovery(cluster, faults, policy,
+                                             engine=engine.name)
+        wall = run.wall_s = run.stages["execute"]
+
+        with run.stage("reduce"):
+            if strip:
+                estimates = list(engine.reduce_strip(plan, state, ctx,
+                                                     fault_report))
             else:
-                state, sched_stats = scheduler.map(
-                    backend, worker, payloads, costs=costs,
-                    chunksize=chunksize)
-                fault_report = None
-        engine.account(plan, ctx, fault_report)
-    else:
-        # Inline engine: the arithmetic is the sequential reference, so
-        # faults stretch the simulated timeline only (recovery is charged
-        # after the compute loops, and rank loss raises).
-        with ctx.timer, _profile_ctx(cfg, label):
-            state = execute_stage(plan, ctx)
-        fault_report = simulate_recovery(cluster, faults, policy,
-                                         engine=engine.name)
-    stages["execute"] = ctx.timer.elapsed
+                estimates = [engine.reduce(plan, state, ctx, fault_report)]
+        with run.stage("report"):
+            rep = cluster.report()
+            metas = [engine.report(plan, estimate, ctx, fault_report)
+                     for estimate in estimates]
 
-    with timer.stage("reduce"):
-        if strip:
-            estimates = list(engine.reduce_strip(plan, state, ctx,
-                                                 fault_report))
-        else:
-            estimates = [engine.reduce(plan, state, ctx, fault_report)]
-    with timer.stage("report"):
-        rep = cluster.report()
-        metas = [engine.report(plan, estimate, ctx, fault_report)
-                 for estimate in estimates]
+        results: List[ParallelRunResult] = []
+        for index, (estimate, meta) in enumerate(zip(estimates, metas)):
+            if strip:
+                meta["strip"] = {"contracts": len(estimates), "index": index}
+            if record:
+                meta["cluster"] = cluster
+            results.append(ParallelRunResult(
+                price=estimate.price,
+                stderr=estimate.stderr,
+                p=plan.p,
+                sim_time=rep["elapsed"],
+                wall_time=wall,
+                compute_time=rep["compute_time"],
+                comm_time=rep["comm_time"],
+                idle_time=rep["idle_time"],
+                messages=rep["messages"],
+                bytes_moved=rep["bytes_moved"],
+                engine=engine.name,
+                meta=meta,
+            ))
 
-    results: List[ParallelRunResult] = []
-    for index, (estimate, meta) in enumerate(zip(estimates, metas)):
+        metrics = getattr(cfg, "metrics", None)
+        if metrics is not None:
+            if strip:
+                metrics.counter("engine.strip_runs", engine=engine.name).inc()
+                metrics.histogram("engine.strip_contracts",
+                                  engine=engine.name).observe(
+                                      float(len(results)))
+            else:
+                metrics.counter("engine.runs", engine=engine.name).inc()
+            metrics.histogram("engine.wall_s", engine=engine.name).observe(
+                wall)
+            metrics.histogram("engine.sim_s", engine=engine.name).observe(
+                rep["elapsed"])
+        run.sim_s = rep["elapsed"]
+        if fault_report is not None:
+            run.faults = {
+                "injected": fault_report.faults_injected,
+                "retries": fault_report.n_retries,
+                "recovered": len(fault_report.recovered_ranks),
+                "lost": len(fault_report.lost_ranks),
+            }
+        run.extra = {"price": results[0].price, "stderr": results[0].stderr}
         if strip:
-            meta["strip"] = {"contracts": len(estimates), "index": index}
-        if record:
-            meta["cluster"] = cluster
-        results.append(ParallelRunResult(
-            price=estimate.price,
-            stderr=estimate.stderr,
-            p=plan.p,
-            sim_time=rep["elapsed"],
-            wall_time=ctx.timer.elapsed,
-            compute_time=rep["compute_time"],
-            comm_time=rep["comm_time"],
-            idle_time=rep["idle_time"],
-            messages=rep["messages"],
-            bytes_moved=rep["bytes_moved"],
-            engine=engine.name,
-            meta=meta,
-        ))
-
-    metrics = getattr(cfg, "metrics", None)
-    if metrics is not None:
-        if strip:
-            metrics.counter("engine.strip_runs", engine=engine.name).inc()
-            metrics.histogram("engine.strip_contracts",
-                              engine=engine.name).observe(float(len(results)))
-        else:
-            metrics.counter("engine.runs", engine=engine.name).inc()
-        metrics.histogram("engine.wall_s", engine=engine.name).observe(
-            ctx.timer.elapsed)
-        metrics.histogram("engine.sim_s", engine=engine.name).observe(
-            rep["elapsed"])
-    extra = _observe_sched(cfg, engine, sched_stats,
-                           {"contracts": len(results)} if strip else None)
-    if ledger is not None and results:
-        ledger.append(record_from_result(
-            results[0], run_id=run_id or new_run_id(),
-            kind="strip" if strip else "engine",
-            config=cfg, stages=stages, fault_report=fault_report,
-            extra=extra))
+            run.extra["contracts"] = len(results)
+        _observe_sched(cfg, engine, sched_stats, run.extra)
     return results, estimates
 
 

@@ -28,14 +28,13 @@ virtual time still accounts the cost model's seconds.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.gateway.admission import Decision, GatewayRequest, decision_digest
 from repro.gateway.core import GatewayCore, Pending
 from repro.gateway.loadgen import CostModel, LoadgenConfig, request_stream
-from repro.obs.ledger import (RunRecord, active_ledger, config_digest,
-                              git_sha, new_run_id)
+from repro.obs.ledger import measured
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.serve.cache import PriceCache
 from repro.utils.formatting import Table
@@ -120,21 +119,6 @@ class GatewayRunResult:
                        overall.quantile(0.999) * 1e3,
                        (overall.max if overall.count else 0.0) * 1e3])
         return table
-
-    def to_record(self, config: dict) -> RunRecord:
-        overall = self.overall_latency
-        return RunRecord(
-            run_id=new_run_id(), kind="gateway", engine="gateway",
-            config=config_digest(config), backend="sim",
-            workers=self.n_shards, p=self.n_shards,
-            stages={"drive": self.wall_s}, wall_s=self.wall_s,
-            sim_s=self.sim_end,
-            extra={"offered": self.offered, "admitted": self.admitted,
-                   "completed": self.completed, "shed": self.shed_total,
-                   "goodput": self.goodput,
-                   "shed_rate": self.shed_rate,
-                   "p99_ms": overall.quantile(0.99) * 1e3},
-            git=git_sha())
 
 
 class _Driver:
@@ -245,13 +229,21 @@ class _Driver:
                 self.on_settled(client, now)
 
 
-def _finalize(driver: _Driver, t0: float, config: dict,
-              ledger) -> GatewayRunResult:
-    result = driver.drain()
-    result.wall_s = time.perf_counter() - t0
-    book = ledger if ledger is not None else active_ledger()
-    if book is not None:
-        book.append(result.to_record(config))
+def _drive(build: Callable[[], _Driver], config: dict,
+           ledger) -> GatewayRunResult:
+    """Build and drain one driver inside the ``drive`` stage of a
+    ``kind="gateway"`` measured run."""
+    n_shards = config["n_shards"]
+    with measured("gateway", engine="gateway", config=config, backend="sim",
+                  workers=n_shards, p=n_shards, ledger=ledger) as run:
+        with run.stage("drive"):
+            result = build().drain()
+        result.wall_s = run.wall_s = run.stages["drive"]
+        run.sim_s = result.sim_end
+        run.extra = {"offered": result.offered, "admitted": result.admitted,
+                     "completed": result.completed, "shed": result.shed_total,
+                     "goodput": result.goodput, "shed_rate": result.shed_rate,
+                     "p99_ms": result.overall_latency.quantile(0.99) * 1e3}
     return result
 
 
@@ -273,19 +265,22 @@ def run_schedule(schedule: list[tuple[float, GatewayRequest]], *,
     """
     check_positive_int("n_shards", n_shards)
     check_positive("duration_s", duration_s)
-    t0 = time.perf_counter()
     hint = service_hint_s if service_hint_s is not None else cost.base_s
-    driver = _Driver(n_shards=n_shards, cost=cost, max_queue=max_queue,
-                     priced=priced, cache_capacity=cache_capacity,
-                     service_hint_s=hint, headroom=headroom,
-                     ewma_alpha=ewma_alpha, metrics=metrics,
-                     duration_s=duration_s)
-    for t, greq in schedule:
-        driver.push(t, "arrive", (greq, None))
+
+    def build() -> _Driver:
+        driver = _Driver(n_shards=n_shards, cost=cost, max_queue=max_queue,
+                         priced=priced, cache_capacity=cache_capacity,
+                         service_hint_s=hint, headroom=headroom,
+                         ewma_alpha=ewma_alpha, metrics=metrics,
+                         duration_s=duration_s)
+        for t, greq in schedule:
+            driver.push(t, "arrive", (greq, None))
+        return driver
+
     config = {"mode": "open", "n_shards": n_shards, "max_queue": max_queue,
               "priced": priced, "duration_s": duration_s,
               "requests": len(schedule)}
-    return _finalize(driver, t0, config, ledger)
+    return _drive(build, config, ledger)
 
 
 def run_closed_loop(cfg: LoadgenConfig, *, n_shards: int, cost: CostModel,
@@ -303,28 +298,31 @@ def run_closed_loop(cfg: LoadgenConfig, *, n_shards: int, cost: CostModel,
     check_positive_int("n_shards", n_shards)
     check_positive_int("n_clients", n_clients)
     check_positive("think_s", think_s)
-    t0 = time.perf_counter()
     hint = service_hint_s if service_hint_s is not None else cost.base_s
-    driver = _Driver(n_shards=n_shards, cost=cost, max_queue=max_queue,
-                     priced=priced, cache_capacity=cache_capacity,
-                     service_hint_s=hint, headroom=headroom,
-                     ewma_alpha=ewma_alpha, metrics=metrics,
-                     duration_s=cfg.duration_s)
-    stream = request_stream(cfg)
 
-    def issue(client: int, t: float) -> None:
-        if t < cfg.duration_s:
-            driver.push(t, "arrive", (next(stream), client))
+    def build() -> _Driver:
+        driver = _Driver(n_shards=n_shards, cost=cost, max_queue=max_queue,
+                         priced=priced, cache_capacity=cache_capacity,
+                         service_hint_s=hint, headroom=headroom,
+                         ewma_alpha=ewma_alpha, metrics=metrics,
+                         duration_s=cfg.duration_s)
+        stream = request_stream(cfg)
 
-    def settled(client: int, now: float) -> None:
-        issue(client, now + think_s)
+        def issue(client: int, t: float) -> None:
+            if t < cfg.duration_s:
+                driver.push(t, "arrive", (next(stream), client))
 
-    driver.on_settled = settled
-    # Stagger the first wave so clients do not arrive as one burst.
-    for client in range(n_clients):
-        issue(client, client * (think_s / max(n_clients, 1)))
+        def settled(client: int, now: float) -> None:
+            issue(client, now + think_s)
+
+        driver.on_settled = settled
+        # Stagger the first wave so clients do not arrive as one burst.
+        for client in range(n_clients):
+            issue(client, client * (think_s / max(n_clients, 1)))
+        return driver
+
     config = {"mode": "closed", "n_shards": n_shards,
               "max_queue": max_queue, "priced": priced,
               "duration_s": cfg.duration_s, "n_clients": n_clients,
               "think_s": think_s, "seed": cfg.seed}
-    return _finalize(driver, t0, config, ledger)
+    return _drive(build, config, ledger)

@@ -51,8 +51,8 @@ from repro.obs.ledger import (
     config_digest,
     git_sha,
     new_run_id,
+    measured,
     read_ledger,
-    record_from_result,
     set_active_ledger,
 )
 from repro.obs.diff import (
@@ -91,7 +91,7 @@ __all__ = [
     "active_ledger",
     "set_active_ledger",
     "read_ledger",
-    "record_from_result",
+    "measured",
     "StageStats",
     "DiffEntry",
     "summarize_ledger",

@@ -2,22 +2,24 @@
 
 The benchmarks answer "how fast is it *now*"; the ledger answers "how fast
 was it *then*" — without rerunning anything. Every pipeline run
-(:func:`repro.engine.runner.run_pipeline`), every
-:class:`~repro.serve.PricingService` batch and every benchmark invocation
-can append one :class:`RunRecord` — a canonical-JSON line in an append-only
-JSONL file — carrying the engine name, a config digest, the backend and
-worker count, **per-stage wall timings** from the shared
-:class:`~repro.perf.timer.Timer`, the run's headline metrics, fault/retry
-counts and the git SHA, under a versioned schema
-(:data:`LEDGER_SCHEMA_VERSION`).
+(:func:`repro.engine.runner.run_pipeline` / ``run_strip``), every
+:class:`~repro.serve.PricingService` batch, every risk sweep and every
+virtual-time gateway drive appends one :class:`RunRecord` — a
+canonical-JSON line in an append-only JSONL file — carrying the engine
+name, a config digest, the backend and worker count, **per-stage wall
+timings**, the run's headline metrics, fault/retry counts and the git
+SHA, under a versioned schema (:data:`LEDGER_SCHEMA_VERSION`).
 
 Design rules:
 
+* **One writer.** :func:`measured` is the only code that mints a run id,
+  times a run's stages and appends its record; every instrumented entry
+  point wraps its run in it.
 * **Opt-in and out-of-band.** Nothing is recorded unless a ledger is
   configured — either explicitly (``pricer.ledger = RunLedger(path)`` /
   ``PricingService(ledger=...)``) or ambiently via the ``REPRO_LEDGER``
-  environment variable (the CI bench lanes set it). The fast path when no
-  ledger is active is one attribute read.
+  environment variable (the CI bench lanes set it). With no ledger,
+  :func:`measured` only reads the clock: no file, digest or git work.
 * **Canonical serialization.** ``RunRecord.to_json()`` sorts keys and
   fixes separators, so records are byte-stable functions of their
   contents; the *contents* include wall timings, which legitimately vary
@@ -37,8 +39,11 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+import time
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -54,7 +59,8 @@ __all__ = [
     "active_ledger",
     "set_active_ledger",
     "read_ledger",
-    "record_from_result",
+    "MeasuredRun",
+    "measured",
 ]
 
 #: Bump when a field is added/renamed/retyped; readers accept <= current.
@@ -131,12 +137,15 @@ class RunRecord:
 
     ``stages`` maps stage name → wall seconds (``plan`` / ``partition`` /
     ``execute`` / ``reduce`` / ``report`` for pipeline runs, ``batch`` for
-    service batches); ``faults`` carries the recovery tallies; ``extra``
-    is free-form per-kind detail (price, request counts, ...).
+    service batches, ``drive`` for gateway runs, ``sweep`` for risk
+    sweeps); ``wall_s`` is the ``execute`` stage for pipeline runs and the
+    one stage for every other kind; ``faults`` carries the recovery
+    tallies; ``extra`` is free-form per-kind detail (price, request
+    counts, ...).
     """
 
     run_id: str
-    kind: str                      # "engine" | "strip" | "serve" | "bench"
+    kind: str            # "engine" | "strip" | "serve" | "gateway" | "risk"
     engine: str
     config: str                    # config_digest of the run's settings
     backend: str
@@ -287,38 +296,58 @@ def active_ledger() -> RunLedger | None:
     return _ACTIVE
 
 
-def record_from_result(result, *, run_id: str, kind: str, config: object,
-                       stages: dict[str, float],
-                       fault_report=None, extra: dict | None = None) -> RunRecord:
-    """Build a :class:`RunRecord` from a ``ParallelRunResult``.
+class MeasuredRun:
+    """The handle :func:`measured` yields: one run's id, its stage timer
+    and the record fields the caller fills in before the block ends."""
 
-    The runner calls this after assembling the result; benchmark drivers
-    may call it directly on any result they hold.
+    def __init__(self, p: int) -> None:
+        self.p = p
+        self.stages: dict[str, float] = {}
+        #: ``None`` records the block's own wall time.
+        self.wall_s: float | None = None
+        self.sim_s = 0.0
+        self.faults: dict[str, int] = {}
+        self.extra: dict = {}
+
+    @cached_property
+    def run_id(self) -> str:
+        """The run's correlation id, minted once, on first use."""
+        return new_run_id()
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Time a named stage; re-entering a name adds to its total."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            dt = time.perf_counter() - t0
+            self.stages[name] = self.stages.get(name, 0.0) + dt
+
+
+@contextmanager
+def measured(kind: str, *, engine: str, config: object, backend: str,
+             workers: int, p: int, ledger: RunLedger | None = None,
+             ) -> Iterator[MeasuredRun]:
+    """Time one run and append its :class:`RunRecord` on normal exit.
+
+    The one ledger writer. It yields a :class:`MeasuredRun` that holds
+    the run id and times named stages (:meth:`~MeasuredRun.stage`), and
+    lets the caller set ``p``, ``wall_s`` (default: the block's wall
+    time), ``sim_s``, ``faults`` and ``extra``. Exactly one record goes
+    to ``ledger``, else the ambient one; only then is ``config`` digested
+    (:func:`config_digest`; a string is taken as a ready digest). A block
+    that raises appends nothing.
     """
-    backend = getattr(config, "backend", None)
-    faults: dict[str, int] = {}
-    if fault_report is not None:
-        faults = {
-            "injected": fault_report.faults_injected,
-            "retries": fault_report.n_retries,
-            "recovered": len(fault_report.recovered_ranks),
-            "lost": len(fault_report.lost_ranks),
-        }
-    doc_extra = {"price": result.price, "stderr": result.stderr}
-    if extra:
-        doc_extra.update(extra)
-    return RunRecord(
-        run_id=run_id,
-        kind=kind,
-        engine=result.engine,
-        config=config_digest(config),
-        backend=getattr(backend, "name", "none"),
-        workers=int(getattr(backend, "max_workers", 1) or 1),
-        p=result.p,
-        stages=dict(stages),
-        wall_s=result.wall_time,
-        sim_s=result.sim_time,
-        faults=faults,
-        extra=doc_extra,
-        git=git_sha(),
-    )
+    run = MeasuredRun(p)
+    t0 = time.perf_counter()
+    yield run
+    wall = time.perf_counter() - t0 if run.wall_s is None else run.wall_s
+    target = ledger if ledger is not None else active_ledger()
+    if target is not None:
+        target.append(RunRecord(
+            run_id=run.run_id, kind=kind, engine=engine,
+            config=config if isinstance(config, str)
+            else config_digest(config), backend=backend, workers=workers,
+            p=run.p, stages=dict(run.stages), wall_s=wall, sim_s=run.sim_s,
+            faults=dict(run.faults), extra=dict(run.extra), git=git_sha()))

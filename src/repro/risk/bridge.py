@@ -22,14 +22,11 @@ check replays decision logs and price streams bitwise.
 
 from __future__ import annotations
 
-import time
-
 from repro.errors import ValidationError
 from repro.gateway.admission import GatewayRequest
 from repro.gateway.loadgen import CostModel
 from repro.gateway.simulate import GatewayRunResult, run_schedule
-from repro.obs.ledger import (RunRecord, active_ledger, config_digest,
-                              git_sha, new_run_id)
+from repro.obs.ledger import measured
 from repro.risk.scenarios import (base_scenario, scenario_digest,
                                   stress_scenarios)
 from repro.serve.batching import PricingRequest
@@ -37,7 +34,7 @@ from repro.utils.validation import check_positive, check_positive_int
 from repro.workloads.generators import Workload, strike_strip
 
 __all__ = ["risk_book", "sweep_requests", "sweep_schedule",
-           "run_risk_sweep", "risk_run_record"]
+           "run_risk_sweep", "risk_sweep_config", "risk_run_record"]
 
 #: Deadline budgets (in service-time multiples, scaled by the caller's
 #: deadline scale) for the two sweep lanes.
@@ -144,28 +141,38 @@ def run_risk_sweep(book, scenarios, *, n_shards: int = 2,
     if rate is None:
         rate = 1.5 * n_shards / miss_s
     duration_s = (len(tagged) * repeats) / rate + miss_s * max_queue
-    t0 = time.perf_counter()
-    result = run_schedule(
-        sweep_schedule(tagged, rate=rate, repeats=repeats,
-                       deadline_scale_s=miss_s),
-        n_shards=n_shards, cost=cost, duration_s=duration_s,
-        max_queue=max_queue, priced=priced, metrics=metrics, ledger=ledger)
-    wall = time.perf_counter() - t0
-    record = risk_run_record(result, n_scenarios=len(scenarios),
-                             n_contracts=len(book), engine=engine,
-                             seed=seed, repeats=repeats, wall_s=wall,
-                             scenarios_digest=scenario_digest(scenarios))
-    book_ledger = ledger if ledger is not None else active_ledger()
-    if book_ledger is not None:
-        book_ledger.append(record)
+    with measured("risk", engine=engine,
+                  config=risk_sweep_config(len(scenarios), len(book), seed,
+                                           repeats, n_shards),
+                  backend="sim", workers=n_shards, p=n_shards,
+                  ledger=ledger) as run:
+        with run.stage("sweep"):
+            result = run_schedule(
+                sweep_schedule(tagged, rate=rate, repeats=repeats,
+                               deadline_scale_s=miss_s),
+                n_shards=n_shards, cost=cost, duration_s=duration_s,
+                max_queue=max_queue, priced=priced, metrics=metrics,
+                ledger=ledger)
+        run.wall_s = run.stages["sweep"]
+        run.sim_s = result.sim_end
+        run.extra = risk_run_record(
+            result, n_scenarios=len(scenarios), n_contracts=len(book),
+            repeats=repeats, scenarios_digest=scenario_digest(scenarios))
     return result
 
 
+def risk_sweep_config(n_scenarios: int, n_contracts: int, seed: int,
+                      repeats: int, n_shards: int) -> dict:
+    """The settings a ``kind="risk"`` gateway-sweep record digests."""
+    return {"n_scenarios": n_scenarios, "n_contracts": n_contracts,
+            "seed": seed, "repeats": repeats, "n_shards": n_shards}
+
+
 def risk_run_record(result: GatewayRunResult, *, n_scenarios: int,
-                    n_contracts: int, engine: str, seed: int,
-                    repeats: int = 1, wall_s: float | None = None,
-                    scenarios_digest: str | None = None) -> RunRecord:
-    """One ``kind="risk"`` ledger record summarizing a gateway drive.
+                    n_contracts: int, repeats: int = 1,
+                    scenarios_digest: str | None = None) -> dict:
+    """The ``extra`` of a ``kind="risk"`` record summarizing a gateway
+    drive.
 
     Scenarios/sec is measured in *virtual* seconds: completed requests
     over the simulated window, divided by the contracts each scenario
@@ -185,13 +192,4 @@ def risk_run_record(result: GatewayRunResult, *, n_scenarios: int,
              "hit_rate": hits / lookups if lookups else 0.0}
     if scenarios_digest is not None:
         extra["scenarios"] = scenarios_digest
-    wall = wall_s if wall_s is not None else result.wall_s
-    return RunRecord(
-        run_id=new_run_id(), kind="risk", engine=engine,
-        config=config_digest({"n_scenarios": n_scenarios,
-                              "n_contracts": n_contracts, "seed": seed,
-                              "repeats": repeats,
-                              "n_shards": result.n_shards}),
-        backend="sim", workers=result.n_shards, p=result.n_shards,
-        stages={"sweep": wall}, wall_s=wall, sim_s=result.sim_end,
-        extra=extra, git=git_sha())
+    return extra

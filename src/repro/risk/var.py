@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.obs.ledger import (RunRecord, active_ledger, config_digest,
-                              git_sha, new_run_id)
+from repro.obs.ledger import measured
 from repro.risk.scenarios import (Scenario, horizon_scenarios,
                                   scenario_digest, stress_scenarios)
 from repro.serve.batching import PricingRequest
@@ -122,25 +121,6 @@ class RiskReport:
                            es / var if var > 0 else float("nan")])
         return table
 
-    def to_record(self, config: dict) -> RunRecord:
-        worst = max(self.levels) if self.levels else None
-        extra = {"base_value": self.base_value,
-                 "n_scenarios": self.n_scenarios,
-                 "n_contracts": self.n_contracts,
-                 "scenarios_per_s": self.scenarios_per_s,
-                 "hit_rate": self.hit_rate,
-                 "scenarios": self.scenarios_digest,
-                 "pnl_digest": self.pnl_digest()}
-        if worst is not None:
-            extra["var"], extra["es"] = self.levels[worst]
-            extra["level"] = worst
-        return RunRecord(
-            run_id=new_run_id(), kind="risk", engine=self.engine,
-            config=config_digest(config), backend="serve",
-            workers=1, p=self.n_scenarios,
-            stages={"sweep": self.wall_s}, wall_s=self.wall_s,
-            extra=extra, git=git_sha())
-
 
 def _book_requests(book, model_of, *, engine: str, n_paths: int, seed: int,
                    p: int) -> list[PricingRequest]:
@@ -186,45 +166,55 @@ def revalue_book(book, scenarios, *, engine: str = "mc",
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
 
-    t0 = time.perf_counter()
-    base_quotes = service.price_many(_book_requests(
-        book, lambda w: w.model, engine=engine, n_paths=n_paths, seed=seed,
-        p=p))
-    base_value = float(sum(q.price for q in base_quotes))
+    config = {"engine": engine, "n_paths": n_paths, "seed": seed, "p": p,
+              "n_contracts": len(book), "n_scenarios": len(scenarios),
+              "levels": sorted(float(l) for l in levels)}
+    with measured("risk", engine=engine, config=config, backend="serve",
+                  workers=1, p=len(scenarios), ledger=ledger) as run:
+        with run.stage("sweep"):
+            base_quotes = service.price_many(_book_requests(
+                book, lambda w: w.model, engine=engine, n_paths=n_paths,
+                seed=seed, p=p))
+            base_value = float(sum(q.price for q in base_quotes))
 
-    values: list[float] = []
-    per_scenario: list[float] = []
-    for scenario in scenarios:
-        s0 = time.perf_counter()
-        quotes = service.price_many(_book_requests(
-            book, lambda w, s=scenario: s.apply(w.model), engine=engine,
-            n_paths=n_paths, seed=seed, p=p))
-        values.append(float(sum(q.price for q in quotes)))
-        wall = time.perf_counter() - s0
-        per_scenario.append(wall)
-        if metrics is not None:
-            metrics.counter("risk.scenarios").inc()
-            metrics.counter("risk.contracts").inc(len(book))
-            metrics.histogram("risk.revalue_s").observe(wall)
-    wall_s = time.perf_counter() - t0
-    if own:
-        service.close()
+            values: list[float] = []
+            per_scenario: list[float] = []
+            for scenario in scenarios:
+                s0 = time.perf_counter()
+                quotes = service.price_many(_book_requests(
+                    book, lambda w, s=scenario: s.apply(w.model),
+                    engine=engine, n_paths=n_paths, seed=seed, p=p))
+                values.append(float(sum(q.price for q in quotes)))
+                wall = time.perf_counter() - s0
+                per_scenario.append(wall)
+                if metrics is not None:
+                    metrics.counter("risk.scenarios").inc()
+                    metrics.counter("risk.contracts").inc(len(book))
+                    metrics.histogram("risk.revalue_s").observe(wall)
+        wall_s = run.wall_s = run.stages["sweep"]
+        if own:
+            service.close()
 
-    pnl = np.asarray(values) - base_value
-    report = RiskReport(
-        base_value=base_value, values=tuple(values),
-        levels={float(level): var_es(pnl, float(level)) for level in levels},
-        n_contracts=len(book), scenarios_digest=scenario_digest(scenarios),
-        engine=engine, seed=seed, wall_s=wall_s,
-        cache_hits=(cache.hits - hits0) if cache is not None else 0,
-        cache_misses=(cache.misses - misses0) if cache is not None else 0,
-        per_scenario_s=per_scenario)
-    book_ledger = ledger if ledger is not None else active_ledger()
-    if book_ledger is not None:
-        book_ledger.append(report.to_record({
-            "engine": engine, "n_paths": n_paths, "seed": seed, "p": p,
-            "n_contracts": len(book), "n_scenarios": len(scenarios),
-            "levels": sorted(float(l) for l in levels)}))
+        pnl = np.asarray(values) - base_value
+        report = RiskReport(
+            base_value=base_value, values=tuple(values),
+            levels={float(level): var_es(pnl, float(level))
+                    for level in levels},
+            n_contracts=len(book), scenarios_digest=scenario_digest(scenarios),
+            engine=engine, seed=seed, wall_s=wall_s,
+            cache_hits=(cache.hits - hits0) if cache is not None else 0,
+            cache_misses=(cache.misses - misses0) if cache is not None else 0,
+            per_scenario_s=per_scenario)
+        run.extra = {"base_value": base_value, "n_scenarios": len(values),
+                     "n_contracts": len(book),
+                     "scenarios_per_s": report.scenarios_per_s,
+                     "hit_rate": report.hit_rate,
+                     "scenarios": report.scenarios_digest,
+                     "pnl_digest": report.pnl_digest()}
+        worst = max(report.levels) if report.levels else None
+        if worst is not None:
+            run.extra["var"], run.extra["es"] = report.levels[worst]
+            run.extra["level"] = worst
     return report
 
 

@@ -33,20 +33,13 @@ segment instead of being pickled per task.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.obs.ledger import (
-    RunRecord,
-    active_ledger,
-    config_digest,
-    git_sha,
-    new_run_id,
-)
+from repro.obs.ledger import config_digest, measured
 from repro.parallel.backends import ChunkAutotuner, ExecutionBackend, SerialBackend
 from repro.parallel.sched import resolve_scheduler
 from repro.serve.batching import Batch, Batcher, PricingRequest, request_key
@@ -213,7 +206,43 @@ class PricingService:
     # -- batch execution -----------------------------------------------
 
     def _execute(self, batch: Batch) -> list[tuple[PricingRequest, PriceQuote]]:
-        t0 = time.perf_counter()
+        with measured("serve", engine="service", config=self._config_digest,
+                      backend=self.backend.name,
+                      workers=int(getattr(self.backend, "max_workers", 1) or 1),
+                      p=0, ledger=self.ledger) as run:
+            with run.stage("batch"):
+                quotes, miss_indices, sched_stats = self._price_batch(batch)
+            wall = run.wall_s = run.stages["batch"]
+            n, misses = len(batch), len(miss_indices)
+            if misses and self._autotuner is not None:
+                self._autotuner.observe(misses, wall)
+                if self.metrics is not None:
+                    # The obs → autotuner loop: fold the observed per-task
+                    # latency dispersion (p99/p50) into future chunk sizes.
+                    self._autotuner.observe_histogram(self.metrics.histogram(
+                        "task_latency", backend=self.backend.name))
+            if self.metrics is not None:
+                self.metrics.counter("serve.requests").inc(n)
+                self.metrics.counter("serve.batches").inc()
+                if misses:
+                    self.metrics.counter("serve.map_calls").inc()
+                self.metrics.counter("serve.deduped").inc(
+                    sum(len(v) - 1 for v in miss_indices.values()))
+                self.metrics.histogram("serve.batch_size").observe(n)
+                self.metrics.histogram("serve.batch_latency_s").observe(wall)
+            run.p = misses
+            run.extra = {"requests": n, "misses": misses,
+                         "hits": n - sum(len(v) for v in miss_indices.values()),
+                         "map_calls": 1 if misses else 0}
+            recorded = (sched_stats.ledger_extra()
+                        if sched_stats is not None else None)
+            if recorded is not None:
+                run.extra["sched"] = recorded
+        return list(zip(batch.requests, quotes))
+
+    def _price_batch(self, batch: Batch):
+        """Quotes for one batch: cache hits, then one map over the deduped
+        misses. Returns (quotes, miss indices by key, scheduling stats)."""
         n = len(batch)
         keys = [request_key(r) for r in batch.requests]
         quotes: list[PriceQuote | None] = [None] * n
@@ -268,41 +297,7 @@ class PricingService:
                         quotes[i] = quote
                     if self.cache is not None:
                         self.cache.put(key, quote)
-
-        wall = time.perf_counter() - t0
-        if tasks and self._autotuner is not None:
-            self._autotuner.observe(len(tasks), wall)
-            if self.metrics is not None:
-                # The obs → autotuner loop: fold the observed per-task
-                # latency dispersion (p99/p50) into future chunk sizes.
-                self._autotuner.observe_histogram(self.metrics.histogram(
-                    "task_latency", backend=self.backend.name))
-        if self.metrics is not None:
-            self.metrics.counter("serve.requests").inc(n)
-            self.metrics.counter("serve.batches").inc()
-            if tasks:
-                self.metrics.counter("serve.map_calls").inc()
-            self.metrics.counter("serve.deduped").inc(
-                sum(len(v) - 1 for v in miss_indices.values()))
-            self.metrics.histogram("serve.batch_size").observe(n)
-            self.metrics.histogram("serve.batch_latency_s").observe(wall)
-        ledger = self.ledger if self.ledger is not None else active_ledger()
-        if ledger is not None:
-            extra = {"requests": n, "misses": len(tasks),
-                     "hits": n - sum(len(v) for v in miss_indices.values()),
-                     "map_calls": 1 if tasks else 0}
-            recorded = (sched_stats.ledger_extra()
-                        if sched_stats is not None else None)
-            if recorded is not None:
-                extra["sched"] = recorded
-            ledger.append(RunRecord(
-                run_id=new_run_id(), kind="serve", engine="service",
-                config=self._config_digest, backend=self.backend.name,
-                workers=int(getattr(self.backend, "max_workers", 1) or 1),
-                p=len(tasks), stages={"batch": wall}, wall_s=wall,
-                extra=extra,
-                git=git_sha()))
-        return list(zip(batch.requests, quotes))
+        return quotes, miss_indices, sched_stats
 
     # -- lifecycle ------------------------------------------------------
 
